@@ -586,27 +586,6 @@ class ClusterSimulator:
             # Validate server indices up front (table() re-checks).
             failslow.table(servers)
 
-    @classmethod
-    def sharded(cls, platform, workload_factory, servers, *args, **kwargs):
-        """Build the cell-partitioned variant of this simulator.
-
-        Returns a :class:`repro.perf.sharded.ShardedClusterSimulator`
-        (imported lazily -- the perf layer imports this module), which
-        partitions the cluster along enclosure/FailureDomain boundaries
-        into cells simulated independently -- in worker processes when
-        its ``run(shards=N)`` is given ``N > 1`` -- with per-cell
-        telemetry folded back losslessly.  Takes a picklable
-        ``workload_factory`` (a module-level callable returning the
-        workload) instead of a workload instance, plus the arguments of
-        :class:`ShardedClusterSimulator`; features that couple cells
-        (``remote_memory``, stochastic ``faults``) are rejected there.
-        """
-        from repro.perf.sharded import ShardedClusterSimulator
-
-        return ShardedClusterSimulator(
-            platform, workload_factory, servers, *args, **kwargs
-        )
-
     def _pick(
         self, servers: List[_Server], rr_state: Dict[str, int],
         rng: random.Random,

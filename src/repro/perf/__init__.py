@@ -12,11 +12,7 @@ result:
   sampling for the DES hot paths;
 - :mod:`repro.perf.kernels` -- single-pass miss-ratio-curve kernels
   (Mattson stack distances, vectorized) for the memory and flash trace
-  simulators, plus the Lindley-recurrence queueing cohort kernels the
-  sharded engine drains windows through;
-- :mod:`repro.perf.sharded` -- the sharded parallel DES: rack cells
-  simulated independently in conservative time windows, vectorized
-  event cohorts, and a calibrated M/M/1(/K) analytic fast path;
+  simulators;
 - :mod:`repro.perf.bench` -- the tracked benchmark harness behind
   ``repro-bench`` and ``BENCH_results.json``.
 """
@@ -27,11 +23,8 @@ from repro.perf.kernels import (
     FlashHitCurve,
     MissCounts,
     MissRatioCurve,
-    cohort_departures,
-    cohort_departures_capped,
     flash_hit_curve,
     flash_replay,
-    fresh_queue_carry,
     miss_ratio_curve,
     stack_distances,
 )
@@ -47,7 +40,6 @@ from repro.perf.parallel import (
 )
 from repro.perf.variates import (
     ExponentialBlock,
-    exponential_block,
     exponential_fill,
     exponential_sampler,
 )
@@ -66,18 +58,8 @@ __all__ = [
     "run_experiments",
     "set_intra_jobs",
     "ExponentialBlock",
-    "exponential_block",
     "exponential_fill",
     "exponential_sampler",
-    "HYBRID_TOLERANCE",
-    "RackScenario",
-    "RackResult",
-    "ShardedClusterResult",
-    "ShardedClusterSimulator",
-    "run_rack",
-    "cohort_departures",
-    "cohort_departures_capped",
-    "fresh_queue_carry",
     "FlashCounts",
     "FlashHitCurve",
     "MissCounts",
@@ -87,24 +69,3 @@ __all__ = [
     "miss_ratio_curve",
     "stack_distances",
 ]
-
-#: Lazy exports (PEP 562): :mod:`repro.perf.sharded` pulls in the
-#: simulator and workload layers, which themselves import this package
-#: for the kernels -- resolving these names on first access instead of
-#: at import time keeps the package import acyclic.
-_SHARDED_EXPORTS = (
-    "HYBRID_TOLERANCE",
-    "RackScenario",
-    "RackResult",
-    "ShardedClusterResult",
-    "ShardedClusterSimulator",
-    "run_rack",
-)
-
-
-def __getattr__(name):
-    if name in _SHARDED_EXPORTS:
-        from repro.perf import sharded
-
-        return getattr(sharded, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,20 +22,16 @@ the repository's performance trajectory is tracked across PRs:
   scalar LRU replays) and *flash_replay* (one flash hit curve answering
   a 12-device flash-sizing curve vs 12 ``FlashCache`` replays).  Both
   assert bit-identical counters before timing is reported.
-- **sharded_engine** -- the sharded/vectorized rack engine
-  (:mod:`repro.perf.sharded`) against its in-run scalar oracle:
-  events/sec through the cohort kernels, speedup over event-at-a-time,
-  a bitwise digest match, and the hybrid fast path's p50/p99 error.
 - **e2e** (``--e2e``) -- cold vs warm-cache wall-clock of the full
   experiment sweep through :func:`repro.perf.parallel.run_experiments`.
 
 ``--check BASELINE`` compares the headline engine metric -- and, when
-the baseline carries them, the kernel and sharded-engine speedups, the
-``schedule_batch`` parity floor, and the sharded correctness invariants
-(digest match, hybrid tolerance) -- against a committed baseline and
-fails on >30% regression.  Every gate uses a *speedup over an in-run
-scalar/legacy reference* -- a machine-independent ratio -- rather than
-absolute rates, so CI hosts of different speeds share one baseline.
+the baseline carries them, the kernel speedups, the ``schedule_batch``
+parity floor, and the cohort cluster engine's digest match and
+speedup -- against a committed baseline and fails on >30% regression.
+Every gate uses a *speedup over an in-run scalar/legacy reference* -- a
+machine-independent ratio -- rather than absolute rates, so CI hosts of
+different speeds share one baseline.
 """
 
 from __future__ import annotations
@@ -88,12 +84,6 @@ SCENARIO_COMPILE_OVERHEAD_LIMIT = 1.05
 #: than not batching at all.  Slightly under 1.0 to absorb timer noise
 #: at --quick iteration counts.
 ENGINE_BATCH_PARITY_FLOOR = 0.9
-
-#: Fail ``--check`` when the vectorized cohort engine drops below this
-#: speedup over its in-run scalar oracle (the sharded_engine section's
-#: acceptance floor; the committed full-scale baseline runs well above
-#: it).
-SHARDED_SPEEDUP_FLOOR = 3.0
 
 #: The scalar engine's committed quick-mode ``cluster_surge`` rate
 #: (simulated-ms per wall-second, single cold run on the baseline host)
@@ -953,67 +943,6 @@ def _kernels_section(quick: bool) -> Dict[str, Dict[str, float]]:
     }
 
 
-def _sharded_section(quick: bool) -> Dict[str, Dict[str, float]]:
-    """The sharded/vectorized rack engine against its scalar oracle.
-
-    One rack scenario runs three ways on identical variate arrays: the
-    event-at-a-time scalar oracle, the vectorized cohort engine (the
-    timed headline -- ``events_per_sec`` counts the logical DES events
-    the cohorts replace: arrival, completion, and deadline-timer
-    resolution per admitted request, one per drop), and the calibrated
-    hybrid.  Bit-stability is asserted in-run (``digest_match``) and the
-    hybrid's p50/p99 must land within :data:`~repro.perf.sharded.
-    HYBRID_TOLERANCE` of the cohort run, so a reported speedup can never
-    come from a wrong answer.
-    """
-    from repro.perf.sharded import HYBRID_TOLERANCE, RackScenario, run_rack
-
-    repeats = 1 if quick else 3
-    scenario = RackScenario(
-        servers_per_cell=8,
-        cells=2 if quick else 4,
-        rate_rps=2000.0,
-        service_ms=0.4,
-        duration_ms=2000.0 if quick else 4000.0,
-        window_ms=200.0,
-        deadline_ms=8.0,
-        seed=2,
-    )
-
-    def timed(mode: str) -> Tuple[float, object]:
-        best = math.inf
-        result = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = run_rack(scenario, mode=mode)
-            elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-        return best, result
-
-    scalar_s, scalar = timed("scalar")
-    cohort_s, cohort = timed("cohort")
-    hybrid_s, hybrid = timed("hybrid")
-    p50_err = abs(hybrid.p50_ms - cohort.p50_ms) / cohort.p50_ms
-    p99_err = abs(hybrid.p99_ms - cohort.p99_ms) / cohort.p99_ms
-    return {
-        "sharded_engine": {
-            "events": cohort.events,
-            "events_per_sec": round(cohort.events / cohort_s, 1),
-            "scalar_events_per_sec": round(scalar.events / scalar_s, 1),
-            "speedup_vs_scalar": round(scalar_s / cohort_s, 3),
-            "digest_match": scalar.digest == cohort.digest,
-            "hybrid_events_per_sec": round(hybrid.events / hybrid_s, 1),
-            "hybrid_p50_err": round(p50_err, 4),
-            "hybrid_p99_err": round(p99_err, 4),
-            "hybrid_within_tolerance": max(p50_err, p99_err)
-            <= HYBRID_TOLERANCE,
-            "calibration_error": round(hybrid.calibration_error, 4),
-            "windows_analytic": hybrid.windows_analytic,
-            "windows_vector": hybrid.windows_vector,
-        }
-    }
-
-
 def _e2e_section(jobs: int) -> Dict[str, Dict[str, float]]:
     """Cold vs warm-cache wall-clock of the full experiment sweep."""
     import tempfile
@@ -1058,7 +987,6 @@ def run_benchmarks(
     results.update(_rebuild_section(quick))
     results.update(_scenario_section(quick))
     results.update(_kernels_section(quick))
-    results.update(_sharded_section(quick))
     if suite:
         results.update(_suite_wall_section(jobs))
     if e2e:
@@ -1158,35 +1086,6 @@ def check_regression(current: dict, baseline: dict) -> List[str]:
             failures.append(
                 f"schedule_batch below parity with per-entry scheduling: "
                 f"{ratio:.2f}x vs floor {ENGINE_BATCH_PARITY_FLOOR:.2f}x"
-            )
-    # The sharded engine gates on three in-run, machine-independent
-    # invariants: the cohort engine must stay >= SHARDED_SPEEDUP_FLOOR
-    # over its scalar oracle (and within REGRESSION_TOLERANCE of the
-    # baseline's ratio), the scalar-vs-cohort digests must match
-    # bitwise, and the hybrid fast path must stay within its calibrated
-    # tolerance of the full DES.
-    if baseline.get("results", {}).get("sharded_engine") is not None:
-        section = current["results"]["sharded_engine"]
-        base_ratio = baseline["results"]["sharded_engine"]["speedup_vs_scalar"]
-        sharded_floor = max(
-            SHARDED_SPEEDUP_FLOOR, base_ratio * (1.0 - REGRESSION_TOLERANCE)
-        )
-        if section["speedup_vs_scalar"] < sharded_floor:
-            failures.append(
-                f"sharded cohort speedup regressed: "
-                f"{section['speedup_vs_scalar']:.2f}x vs baseline "
-                f"{base_ratio:.2f}x (floor {sharded_floor:.2f}x)"
-            )
-        if not section["digest_match"]:
-            failures.append(
-                "sharded engine digest mismatch: the vectorized cohort run "
-                "no longer reproduces the scalar oracle bitwise"
-            )
-        if not section["hybrid_within_tolerance"]:
-            failures.append(
-                "hybrid fast path outside calibrated tolerance: p50 err "
-                f"{section['hybrid_p50_err']:.3f}, p99 err "
-                f"{section['hybrid_p99_err']:.3f}"
             )
     # The cohort serving-tier engine gates three ways once the baseline
     # carries the cohort fields: the scalar-vs-cohort digests must match

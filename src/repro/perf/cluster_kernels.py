@@ -55,10 +55,9 @@ hard test invariant (``tests/cluster/test_cohort_engine.py``).
 
 Two deliberate deviations from a naive "vectorize everything" plan, both
 forced by the stream-identity contract: inter-arrival variates cannot be
-bulk-drawn with :func:`repro.perf.variates.exponential_block` because
-the arrival draws *interleave* with workload/admission draws on the
-shared generator (and the numpy log mapping differs in the last ulp),
-so arrivals use the inlined :func:`~repro.perf.variates
+bulk-drawn (e.g. with :func:`repro.perf.variates.exponential_fill`)
+because the arrival draws *interleave* with workload/admission draws on
+the shared generator, so arrivals use the inlined :func:`~repro.perf.variates
 .exponential_sampler` form instead -- same values, same stream, one
 C-level ``random()`` per draw.  Likewise the CPU and memory stations
 stay event-driven: the CPU gate (deadline shedding, admission EWMA)

@@ -135,12 +135,12 @@ def pmap_iter(
     whole result list.
 
     :func:`pmap` holds every result until the pool drains -- fine for a
-    handful of experiment payloads, an RSS spike for a sharded cluster
-    run whose per-shard payloads are large and immediately foldable.
+    handful of experiment payloads, an RSS spike for a fan-out whose
+    per-item payloads are large and immediately foldable.
     Here the caller folds each result as it arrives (``merge_telemetry``
     style) and at most ``window`` submissions are outstanding at once
     (default ``2 * jobs``), so peak memory is bounded by the fold state
-    plus a constant number of in-flight payloads, not by the shard
+    plus a constant number of in-flight payloads, not by the item
     count.
 
     Same contracts as :func:`pmap`: input order, serial-inline fallback

@@ -20,16 +20,10 @@ underlying uniform stream:
   open-loop arrival process), where consumption order trivially matches
   draw order.
 - :func:`exponential_fill` -- a whole window of variates in one call,
-  for the sharded/vectorized engines (:mod:`repro.perf.sharded`): both
-  the cohort kernels and the scalar oracle consume the *same* array, so
-  scalar-vs-vectorized bit-equality does not depend on ``numpy.log``
-  matching ``math.log`` (it does not, in the last ulp).
-- :func:`exponential_block` -- the bulk-generation variant of
-  :func:`exponential_fill`: same uniform stream (one ``random()`` per
-  variate, in draw order), but the log mapping runs vectorized in
-  numpy.  Values may differ from the sequential sampler in the last
-  ulps, so it is only for streams whose *every* consumer reads the
-  returned array (the sharded engines' shared-variate contract).
+  for code that hands one variate array to both a vectorized kernel
+  and a scalar reference: generation stays on ``math.log``, so
+  bit-equality does not depend on ``numpy.log`` matching it (it does
+  not, in the last ulp).
 """
 
 from __future__ import annotations
@@ -37,8 +31,6 @@ from __future__ import annotations
 import random
 from math import log
 from typing import Callable, List
-
-import numpy as np
 
 
 def exponential_sampler(rng: random.Random) -> Callable[[float], float]:
@@ -75,24 +67,6 @@ def exponential_fill(rng: random.Random, count: int, lambd: float) -> List[float
     _random = rng.random
     _log = log
     return [-_log(1.0 - _random()) / lambd for _ in range(count)]
-
-
-def exponential_block(rng: random.Random, count: int, lambd: float) -> np.ndarray:
-    """``count`` exponential variates with the log mapping vectorized.
-
-    Consumes exactly the same uniforms, in the same order, as
-    :func:`exponential_fill` -- but maps them through ``numpy.log1p``
-    in one shot instead of ``math.log`` per draw, which roughly halves
-    generation cost on the sharded hot path.  The trade: values can
-    differ from the sequential sampler in the last ulps, so this is
-    safe only where the returned array itself is the reference stream
-    (every engine mode reads this array, nothing re-derives the draws).
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    _random = rng.random
-    uniforms = np.asarray([_random() for _ in range(count)], dtype=np.float64)
-    return -np.log1p(-uniforms) / lambd
 
 
 class ExponentialBlock:

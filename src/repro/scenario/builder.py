@@ -83,9 +83,9 @@ class ScenarioBuilder:
         return self
 
     def engine(self, engine: str) -> "ScenarioBuilder":
-        """Request an engine: ``auto`` (default), ``cohort``, ``scalar``,
-        or ``sharded``.  ``auto`` tries cohort and falls back to scalar
-        with the reason surfaced; sharded is never auto-selected."""
+        """Request an engine: ``auto`` (default), ``cohort`` or
+        ``scalar``.  ``auto`` and ``cohort`` try cohort and fall back to
+        scalar with the reason surfaced."""
         self._engine = engine
         return self
 

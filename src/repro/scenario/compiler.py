@@ -1,23 +1,26 @@
-"""Lower a :class:`Scenario` onto the DES/cohort/sharded engines.
+"""Lower a :class:`Scenario` onto the DES/cohort engines.
 
 ``compile_scenario`` expands the declarative spec into a flat list of
 picklable :class:`RunPlan` records -- one per (tier x overlay x rack x
-traffic segment) -- resolving every name (platform/design, benchmark,
-fault profile, disk configuration) and every derived quantity (analytic
-capacity, open-loop arrival rates, the ``queue_cap="auto"`` sizing) at
-compile time.  Execution fans the plans across worker processes with
+traffic segment x enclosure cell) -- resolving every name
+(platform/design, benchmark, fault profile, disk configuration) and
+every derived quantity (analytic capacity, open-loop arrival rates, the
+``queue_cap="auto"`` sizing) at compile time.  Execution fans the plans across worker processes with
 :func:`repro.perf.parallel.pmap`; results are merged in plan order, so
 a ``--jobs 4`` run is bit-identical to a serial one.
 
-Engine selection (fastest eligible first):
+Racks, diurnal segments and enclosure cells are all independent runs.
+A ``balancer_scope: "enclosure"`` tier is the modular-DC system where
+each group of whole enclosures fronts its own balancer: the compiler
+splits it into ``cells`` plans (default one per enclosure) of
+``servers / cells`` servers each, with the open-loop rate scaled by the
+cell's server share and a per-cell seed from :func:`derive_seed`.
 
-- ``balancer_scope: "enclosure"`` tiers run the **sharded** engine --
-  an explicit choice, never an automatic one, because per-cell
-  balancing is semantically its own (modular-DC) system;
-- cluster-scoped tiers request the **cohort** engine (vectorized,
-  bitwise stream-identical to scalar); the balancer itself falls back
-  to **scalar** when the configuration is ineligible and records why
-  (``fallback_reason``), which every run record surfaces.
+Every plan requests the **cohort** engine (vectorized, bitwise
+stream-identical to scalar) unless the scenario asks for ``scalar``;
+the balancer itself falls back to **scalar** when the configuration is
+ineligible and records why (``fallback_reason``), which every run
+record surfaces.
 
 The kwargs handed to :class:`ClusterSimulator` mirror the hand-wired
 experiment modules exactly -- that is what makes scenario-compiled
@@ -28,8 +31,8 @@ in ``tests/scenario/test_digest_equality.py``).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.capacity import (
@@ -59,6 +62,25 @@ QUICK_MIN_MEASURE_MS = 400.0
 QUICK_MIN_WARMUP_MS = 200.0
 QUICK_MIN_REQUESTS = 200
 
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(value: int) -> int:
+    value = (value + 0x9E3779B97F4A7C15) & _MASK64
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
+
+
+def derive_seed(seed: int, *parts: int) -> int:
+    """Deterministic per-rack/per-segment/per-cell seed: a splitmix64
+    chain over the scenario seed and the plan's coordinates, so every
+    independent run draws its own stream whatever the worker count."""
+    value = _splitmix64(seed & _MASK64)
+    for part in parts:
+        value = _splitmix64(value ^ _splitmix64(part & _MASK64))
+    return value
+
 
 @dataclass(frozen=True)
 class ArrivalPlan:
@@ -81,8 +103,11 @@ class RunPlan:
     workload: WorkloadSpec
     overlay: OverlaySpec
     seed: int
-    engine: str  # requested: "cohort" | "scalar" | "sharded"
+    engine: str  # requested: "cohort" | "scalar"
     rack: int = 0
+    #: Enclosure cell index (None for cluster-scoped tiers, whose plan
+    #: is the whole tier); ``tier.servers`` is then the cell's share.
+    cell: Optional[int] = None
     segment: Optional[str] = None
     region_blend: Optional[str] = None
     closed: Optional[ClosedLoopSpec] = None
@@ -211,15 +236,6 @@ def _build_workload(spec: WorkloadSpec):
         return _cached_benchmark_workload(spec.benchmark)
     assert spec.dag is not None
     return _cached_dag_workload(spec.dag)
-
-
-def _workload_factory(spec: WorkloadSpec):
-    """Zero-arg picklable factory (the sharded engine's contract)."""
-    if spec.benchmark is not None:
-        from repro.workloads.suite import make_workload
-
-        return partial(make_workload, spec.benchmark)
-    return partial(make_dag_workload, spec.dag)
 
 
 def _tier_platform(tier: TierSpec):
@@ -384,18 +400,46 @@ def _resolve_queue_cap(
     return overload.queue_cap
 
 
+def _enclosure_cells(plan: RunPlan) -> List[RunPlan]:
+    """Split one enclosure-scoped plan into its independent cell runs.
+
+    Cells are contiguous groups of whole enclosures (the unit of shared
+    fate) behind their own balancer, so they share no simulated state:
+    each is a ``servers / cells`` cluster with the open-loop rate scaled
+    by its server share and its own seed.  Closed-loop request counts
+    apply per cell.
+    """
+    tier = plan.tier
+    cells = tier.cells or tier.servers // tier.enclosure_size
+    cell_tier = replace(tier, servers=tier.servers // cells)
+    arrival = plan.arrival
+    if arrival is not None:
+        arrival = replace(
+            arrival,
+            base_rate_rps=arrival.base_rate_rps
+            * (cell_tier.servers / tier.servers),
+        )
+    return [
+        replace(
+            plan,
+            run_id=f"{plan.run_id}/cell{cell:02d}",
+            tier=cell_tier,
+            seed=derive_seed(plan.seed, cell),
+            cell=cell,
+            arrival=arrival,
+        )
+        for cell in range(cells)
+    ]
+
+
 def compile_scenario(scenario: Scenario, quick: bool = False):
     """Validate and lower a scenario; returns a :class:`CompiledScenario`."""
     scenario.check()
     plans: List[RunPlan] = []
+    arrivals: List[ArrivalPlan] = []
     multi_rack = scenario.topology.racks > 1
+    requested = "scalar" if scenario.engine == "scalar" else "cohort"
     for tier in scenario.topology.tiers:
-        if tier.balancer_scope == "enclosure":
-            requested = "sharded"
-        elif scenario.engine in ("auto", "cohort"):
-            requested = "cohort"
-        else:
-            requested = "scalar"
         segments = _segments(scenario, tier, quick)
         multi_segment = len(segments) > 1
         for overlay in scenario.overlays:
@@ -408,12 +452,10 @@ def compile_scenario(scenario: Scenario, quick: bool = False):
                     if label is not None:
                         parts.append(label)
                     if multi_rack or multi_segment:
-                        from repro.perf.sharded import derive_seed
-
                         seed = derive_seed(scenario.seed, rack, index)
                     else:
                         seed = scenario.seed
-                    plans.append(RunPlan(
+                    plan = RunPlan(
                         run_id="/".join(parts),
                         tier=tier,
                         workload=scenario.workload,
@@ -426,8 +468,15 @@ def compile_scenario(scenario: Scenario, quick: bool = False):
                         arrival=arrival,
                         capacity_rps_per_server=capacity,
                         queue_cap=_resolve_queue_cap(overlay, capacity),
-                    ))
-    return CompiledScenario(scenario=scenario, plans=plans, quick=quick)
+                    )
+                    if tier.balancer_scope == "enclosure":
+                        plans.extend(_enclosure_cells(plan))
+                    else:
+                        plans.append(plan)
+                    if arrival is not None:
+                        arrivals.append(arrival)
+    return CompiledScenario(
+        scenario=scenario, plans=plans, quick=quick, arrivals=arrivals)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +557,18 @@ def _build_cluster_simulator(plan: RunPlan):
         )
 
         failslow = overlay.failslow
-        kwargs["failslow"] = FailSlowPlan.single_slow_node(
-            server=failslow.server,
-            factor=failslow.factor,
-            resource=SlowResource(failslow.resource),
-            at_ms=failslow.at_ms,
-        )
+        server = failslow.server
+        if plan.cell is not None:
+            # Cell-local index; the other cells of the tier run healthy
+            # (but still run the detector when it is on).
+            server -= plan.cell * tier.servers
+        if plan.cell is None or 0 <= server < tier.servers:
+            kwargs["failslow"] = FailSlowPlan.single_slow_node(
+                server=server,
+                factor=failslow.factor,
+                resource=SlowResource(failslow.resource),
+                at_ms=failslow.at_ms,
+            )
         if failslow.detection:
             kwargs["failslow_detection"] = DetectionPolicy()
     if overlay.redundancy is not None:
@@ -548,81 +603,8 @@ def _build_cluster_simulator(plan: RunPlan):
     return ClusterSimulator(**kwargs), tracer, metrics
 
 
-def _build_sharded_simulator(plan: RunPlan):
-    from repro.cluster.overload import OverloadPolicy, SurgeSchedule
-    from repro.cluster.balancer import RetryPolicy
-    from repro.perf.sharded import ShardedClusterSimulator
-
-    tier = plan.tier
-    overlay = plan.overlay
-    kwargs = dict(
-        cells=tier.cells,
-        enclosure_size=tier.enclosure_size,
-        seed=plan.seed,
-    )
-    if tier.dispatch is not None:
-        kwargs["dispatch"] = registry.DISPATCH[tier.dispatch]
-    if plan.closed is not None:
-        kwargs.update(
-            warmup_requests=plan.closed.warmup_requests,
-            measure_requests=plan.closed.measure_requests,
-        )
-    else:
-        arrival = plan.arrival
-        kwargs.update(
-            arrivals=SurgeSchedule(
-                base_rate_rps=arrival.base_rate_rps,
-                surge_multiplier=arrival.surge_multiplier,
-                surge_start_ms=arrival.surge_start_ms,
-                surge_end_ms=arrival.surge_end_ms,
-            ),
-            warmup_ms=arrival.warmup_ms,
-            measure_ms=arrival.measure_ms,
-        )
-    if overlay.retry is not None:
-        retry = overlay.retry
-        kwargs["retry"] = RetryPolicy(
-            timeout_ms=retry.timeout_ms,
-            max_retries=retry.max_retries,
-            backoff_base_ms=retry.backoff_base_ms,
-            backoff_factor=retry.backoff_factor,
-            hedge_after_ms=retry.hedge_after_ms,
-            jitter=retry.jitter,
-        )
-    if overlay.overload is not None:
-        if not overlay.overload.protected:
-            kwargs["overload"] = OverloadPolicy.unprotected()
-        else:
-            kwargs["overload"] = OverloadPolicy(queue_cap=plan.queue_cap)
-    if overlay.failslow is not None:
-        from repro.faults.failslow import (
-            DetectionPolicy,
-            FailSlowPlan,
-            SlowResource,
-        )
-
-        failslow = overlay.failslow
-        kwargs["failslow"] = FailSlowPlan.single_slow_node(
-            server=failslow.server,
-            factor=failslow.factor,
-            resource=SlowResource(failslow.resource),
-            at_ms=failslow.at_ms,
-        )
-        if failslow.detection:
-            kwargs["failslow_detection"] = DetectionPolicy()
-    return ShardedClusterSimulator(
-        _tier_platform(tier),
-        _workload_factory(plan.workload),
-        tier.servers,
-        tier.clients_per_server,
-        **kwargs,
-    )
-
-
 def probe_engine(plan: RunPlan) -> Tuple[str, Optional[str]]:
     """Which engine a plan would run on, without running it."""
-    if plan.engine == "sharded":
-        return "sharded", None
     if plan.engine == "scalar":
         return "scalar", None
     from repro.perf.cluster_kernels import cohort_supported
@@ -636,26 +618,6 @@ def probe_engine(plan: RunPlan) -> Tuple[str, Optional[str]]:
 
 def _execute_run(plan: RunPlan) -> RunRecord:
     """Run one plan (module-level so ``pmap`` can pickle it)."""
-    if plan.engine == "sharded":
-        sim = _build_sharded_simulator(plan)
-        result = sim.run(shards=1)
-        return RunRecord(
-            run_id=plan.run_id,
-            tier=plan.tier.name,
-            overlay=plan.overlay.name,
-            rack=plan.rack,
-            segment=plan.segment,
-            engine_used="sharded",
-            fallback_reason=None,
-            offered_rps=result.offered_rps,
-            throughput_rps=result.throughput_rps,
-            goodput_rps=result.goodput_rps,
-            per_server_rps=result.throughput_rps / result.servers,
-            p99_ms=result.p99_ms,
-            qos_violation_rate=0.0,
-            digest=result.digest(),
-            result=result,
-        )
     sim, tracer, metrics = _build_cluster_simulator(plan)
     result = sim.run()
     return RunRecord(
@@ -686,6 +648,10 @@ class CompiledScenario:
     scenario: Scenario
     plans: List[RunPlan]
     quick: bool = False
+    #: The open-loop program of every (tier, overlay, rack, segment),
+    #: before enclosure tiers split into cells: what :meth:`scale`
+    #: aggregates.
+    arrivals: List[ArrivalPlan] = field(default_factory=list)
 
     def describe(self) -> str:
         """Human-readable plan: engines, rates, windows, modeled scale."""
@@ -739,12 +705,11 @@ class CompiledScenario:
             return {}
         racks = self.scenario.topology.racks
         overlays = max(1, len(self.scenario.overlays))
-        arrival_plans = [p for p in self.plans if p.arrival is not None]
-        if not arrival_plans:
+        arrivals = self.arrivals
+        if not arrivals:
             return {}
         peak_rate = max(
-            p.arrival.base_rate_rps * p.arrival.surge_multiplier
-            for p in arrival_plans) * racks
+            a.base_rate_rps * a.surge_multiplier for a in arrivals) * racks
         scale: Dict[str, float] = {
             "racks": float(racks),
             "servers_total": float(sum(
@@ -755,10 +720,9 @@ class CompiledScenario:
         if open_loop.diurnal is not None:
             # One segment per (tier, overlay, rack, hour): each hour of
             # the modeled day contributes rate x 3600 s of requests.
-            per_day = sum(
-                p.arrival.base_rate_rps for p in arrival_plans) * 3600.0
+            per_day = sum(a.base_rate_rps for a in arrivals) * 3600.0
             scale["modeled_requests_per_day"] = per_day / overlays
-            scale["simulated_ms_per_hour"] = arrival_plans[0].arrival.measure_ms
+            scale["simulated_ms_per_hour"] = arrivals[0].measure_ms
         return scale
 
     def execute(self, jobs: int = 1) -> ScenarioResult:
@@ -788,6 +752,7 @@ __all__ = [
     "ScenarioResult",
     "CompiledScenario",
     "compile_scenario",
+    "derive_seed",
     "run_scenario",
     "probe_engine",
     "tier_capacity_rps",

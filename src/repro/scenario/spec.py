@@ -7,7 +7,7 @@ loop, or open loop with a flash-crowd surge or a diurnal day), and a
 set of *overlays* -- named arms that layer faults, fail-slow drift,
 redundancy, retry policy, overload protection, and tracing on top of
 the same topology.  The compiler (:mod:`repro.scenario.compiler`)
-lowers a scenario onto the DES/cohort/sharded engines.
+lowers a scenario onto the DES/cohort engines.
 
 Validation never stops at the first problem: every spec type appends
 :class:`~repro.scenario.errors.ValidationIssue` records with precise
@@ -217,10 +217,10 @@ class TierSpec:
     Exactly one of ``platform`` (raw catalog platform) or ``design``
     (priced design: any platform name as a baseline design, or the
     unified ``N1``/``N2``) names the hardware.  ``balancer_scope``
-    selects the balancing domain: ``"cluster"`` (one balancer, the
-    monolithic DES/cohort engines) or ``"enclosure"`` (per-enclosure
-    cells, the sharded engine -- a semantically different modular-DC
-    system, never auto-selected).
+    selects the balancing domain: ``"cluster"`` (one balancer) or
+    ``"enclosure"`` (``cells`` groups of whole enclosures, each behind
+    its own balancer and run as an independent plan -- a semantically
+    different modular-DC system, never auto-selected).
     """
 
     name: str
@@ -285,6 +285,15 @@ class TierSpec:
                     join_path(path, "servers"),
                     f"{self.servers} servers is not a multiple of "
                     f"enclosure_size {self.enclosure_size}"))
+            elif (_is_int(self.servers) and _is_int(self.enclosure_size)
+                  and _is_int(self.cells) and self.cells >= 1
+                  and (self.servers // self.enclosure_size) % self.cells):
+                enclosures = self.servers // self.enclosure_size
+                issues.append(ValidationIssue(
+                    join_path(path, "cells"),
+                    f"{self.cells} cells do not evenly divide the "
+                    f"{enclosures} enclosures (cells are groups of whole "
+                    f"enclosures)"))
             if self.remote_memory is not None:
                 issues.append(ValidationIssue(
                     join_path(path, "remote_memory"),
@@ -747,9 +756,8 @@ class Scenario:
         _require(issues, "seed", _is_int(self.seed),
                  f"must be an integer, got {self.seed!r}")
         _require(issues, "engine",
-                 self.engine in ("auto", "cohort", "scalar", "sharded"),
-                 f"must be one of auto/cohort/scalar/sharded, "
-                 f"got {self.engine!r}")
+                 self.engine in ("auto", "cohort", "scalar"),
+                 f"must be one of auto/cohort/scalar, got {self.engine!r}")
         self.topology.validate_into("topology", issues)
         self.workload.validate_into("workload", issues)
         self.traffic.validate_into("traffic", issues)
@@ -792,12 +800,6 @@ class Scenario:
                             f"stochastic faults cannot be partitioned into "
                             f"enclosure cells (tier {tier.name!r} uses "
                             f"balancer_scope 'enclosure')"))
-                    if overlay.tracing is not None:
-                        issues.append(ValidationIssue(
-                            f"overlays[{j}].tracing",
-                            f"tracing is not supported by the sharded "
-                            f"engine (tier {tier.name!r} uses "
-                            f"balancer_scope 'enclosure')"))
                     if overlay.redundancy is not None:
                         issues.append(ValidationIssue(
                             f"overlays[{j}].redundancy",
@@ -818,14 +820,6 @@ class Scenario:
                     f"overlays[{j}].overload.queue_cap",
                     "'auto' sizing needs open-loop traffic (it is derived "
                     "from the analytic capacity); give an integer"))
-        if self.engine == "sharded":
-            for i, tier in enumerate(self.topology.tiers):
-                if tier.balancer_scope != "enclosure":
-                    issues.append(ValidationIssue(
-                        "engine",
-                        f"engine 'sharded' requires every tier to use "
-                        f"balancer_scope 'enclosure' "
-                        f"(topology.tiers[{i}] is cluster-scoped)"))
 
     def check(self) -> "Scenario":
         """Validate; raise one aggregated error if anything is wrong."""

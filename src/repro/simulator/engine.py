@@ -30,12 +30,6 @@ DES-backed experiments (``PERF.md`` in ``docs/performance.md``):
   can set it, so the pre-callback check was a branch that could never
   fire on the first iteration and paid per event forever after.
 
-:class:`CohortSimulation` extends the loop with *event cohorts*:
-same-timestamp, same-kind event batches (arrivals, timer pops, service
-completions) scheduled as one heap entry carrying an opaque payload and
-drained through a single handler call, so vectorized kernels
-(:mod:`repro.perf.kernels`) replace per-event Python dispatch.
-
 Tiny *negative* delays produced by float round-off (an absolute target
 computed as ``t - now`` landing one ulp in the past) are clamped to zero
 instead of raising; genuinely past targets still raise ``ValueError``.
@@ -194,90 +188,3 @@ class Simulation:
     def pending_events(self) -> int:
         """Queued entries, including cancelled timers not yet reclaimed."""
         return len(self._heap)
-
-
-#: Cohort handler: ``(kind, payloads)`` where ``payloads`` lists every
-#: same-time, same-kind payload drained together (schedule order).
-CohortHandler = Callable[[str, List[object]], None]
-
-
-class CohortSimulation(Simulation):
-    """A :class:`Simulation` that can drain *event cohorts*.
-
-    A cohort is a batch of same-kind work -- an arrival wave, a block of
-    timer pops, a window's service completions -- scheduled as ONE heap
-    entry ``(time, seq, kind, payload)`` and dispatched through a single
-    handler call instead of per-event Python callbacks.  Consecutive
-    cohort entries at the *same timestamp with the same kind* are merged
-    into one handler invocation, so a shard that schedules per-server
-    sub-batches at a window boundary still pays one dispatch.
-
-    Cohort entries interleave safely with ordinary events: ``seq`` is
-    unique, so tuple comparison never reaches the kind/payload slots,
-    and ordering between a cohort and a plain event follows the usual
-    (time, seq) FIFO rule.  Everything else -- :meth:`cancel`,
-    :meth:`schedule_batch`, ``until_ms`` semantics -- is inherited.
-    """
-
-    __slots__ = ("_handler",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._handler: Optional[CohortHandler] = None
-
-    def set_cohort_handler(self, handler: CohortHandler) -> None:
-        """Install the single dispatch target for all cohort kinds."""
-        self._handler = handler
-
-    def schedule_cohort(
-        self, delay_ms: float, kind: str, payload: object, _push=heappush
-    ) -> int:
-        """Schedule a cohort of ``kind`` after ``delay_ms``; returns a
-        handle usable with :meth:`cancel` like any timer."""
-        if delay_ms < 0.0:
-            delay_ms = self._clamped(delay_ms)
-        self._seq = seq = self._seq + 1
-        _push(self._heap, (self._now + delay_ms, seq, kind, payload))
-        return seq
-
-    def run(self, until_ms: Optional[float] = None) -> None:
-        """Cohort-aware dispatch loop (see :meth:`Simulation.run`)."""
-        self._stopped = False
-        heap = self._heap
-        pop = heappop
-        cancelled = self._cancelled
-        while heap:
-            time = heap[0][0]
-            if until_ms is not None and time > until_ms:
-                self._now = until_ms
-                return
-            entry = pop(heap)
-            seq = entry[1]
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self._now = time
-            if len(entry) == 4:
-                kind = entry[2]
-                payloads = [entry[3]]
-                while heap:
-                    head = heap[0]
-                    if head[0] != time or len(head) != 4 or head[2] != kind:
-                        break
-                    pop(heap)
-                    hseq = head[1]
-                    if cancelled and hseq in cancelled:
-                        cancelled.discard(hseq)
-                        continue
-                    payloads.append(head[3])
-                handler = self._handler
-                if handler is None:
-                    raise RuntimeError(
-                        "cohort scheduled without a handler: call "
-                        "set_cohort_handler() before run()"
-                    )
-                handler(kind, payloads)
-            else:
-                entry[2]()
-            if self._stopped:
-                return

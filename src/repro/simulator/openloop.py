@@ -73,11 +73,10 @@ class OpenLoopSimulator:
 
         The M/M/1 (or, with ``queue_cap``, M/M/1/K) closed form evaluated
         at this simulator's offered load and measured mean service
-        demand -- the same mapping the calibrated hybrid fast path
-        (:mod:`repro.perf.sharded`) uses to skip event-stepping steady
-        windows.  ``tests/simulator/test_queueing.py`` validates these
-        forms against the DES; this hook exposes the per-instance
-        prediction so callers can compare a run against its own theory.
+        demand (:mod:`repro.simulator.queueing`).
+        ``tests/simulator/test_queueing.py`` validates these forms
+        against the DES; this hook exposes the per-instance prediction
+        so callers can compare a run against its own theory.
         """
         from repro.simulator.queueing import (
             mm1_sojourn_percentile_ms,

@@ -136,9 +136,9 @@ def mm1_sojourn_percentile_ms(service_ms: float, rho: float, quantile: float) ->
 
     The stationary response time (wait + service) of an M/M/1 FCFS
     queue is exponential with rate ``mu (1 - rho)``, so every quantile
-    has a closed form: ``-mean_sojourn * ln(1 - q)``.  This is what the
-    hybrid fast path (:mod:`repro.perf.sharded`) uses to synthesize
-    p50/p99 for steady-state windows it never event-steps.
+    has a closed form: ``-mean_sojourn * ln(1 - q)``, the analytic
+    prediction :meth:`repro.simulator.openloop.OpenLoopSimulator.
+    analytic_sojourn_ms` reports for a steady-state run.
     """
     if service_ms <= 0:
         raise ValueError("service time must be positive")

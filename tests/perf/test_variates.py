@@ -7,7 +7,6 @@ import pytest
 
 from repro.perf.variates import (
     ExponentialBlock,
-    exponential_block,
     exponential_fill,
     exponential_sampler,
 )
@@ -68,25 +67,3 @@ class TestExponentialFill:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
             exponential_fill(random.Random(1), -1, 1.0)
-
-
-class TestExponentialBlockFill:
-    def test_consumes_same_uniform_stream_as_fill(self):
-        # Same uniforms, same order: after generating, both generators
-        # sit at the same stream position...
-        rng_a, rng_b = random.Random(33), random.Random(33)
-        block = exponential_block(rng_a, 400, 1.5)
-        filled = exponential_fill(rng_b, 400, 1.5)
-        assert rng_a.random() == rng_b.random()
-        # ...and values agree to ulp-level (numpy log vs math.log).
-        assert np.allclose(block, np.asarray(filled), rtol=1e-12, atol=0.0)
-
-    def test_returns_float64_array(self):
-        block = exponential_block(random.Random(5), 16, 1.0)
-        assert isinstance(block, np.ndarray)
-        assert block.dtype == np.float64
-        assert (block > 0).all()
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            exponential_block(random.Random(1), -2, 1.0)

@@ -6,6 +6,7 @@ from repro.scenario import (
     ScenarioBuilder,
     compile_scenario,
 )
+from repro.scenario.compiler import derive_seed
 
 
 def _small_diurnal():
@@ -26,15 +27,32 @@ def _small_diurnal():
     )
 
 
+def _small_enclosure():
+    """A surge on four enclosure cells (each cell is its own run)."""
+    return (
+        ScenarioBuilder("determinism-enclosure")
+        .tier("web", design="N1", servers=8, enclosure_size=2,
+              balancer_scope="enclosure")
+        .benchmark("websearch")
+        .open_loop(utilization=0.6, warmup_ms=500.0, measure_ms=3000.0)
+        .surge(multiplier=3.0, start_ms=1500.0, end_ms=2500.0)
+        .overlay("protected", retry=RetrySpec(jitter=True),
+                 overload=OverloadSpec(queue_cap="auto"))
+        .seed(5)
+        .build()
+    )
+
+
 def test_serial_vs_jobs4_digest_identical():
-    compiled = compile_scenario(_small_diurnal())
-    serial = compiled.execute(jobs=1)
-    parallel = compiled.execute(jobs=4)
-    assert serial.digest() == parallel.digest()
-    assert [r.run_id for r in serial.runs] == \
-        [r.run_id for r in parallel.runs]
-    assert [r.digest for r in serial.runs] == \
-        [r.digest for r in parallel.runs]
+    for scenario in (_small_diurnal(), _small_enclosure()):
+        compiled = compile_scenario(scenario)
+        serial = compiled.execute(jobs=1)
+        parallel = compiled.execute(jobs=4)
+        assert serial.digest() == parallel.digest()
+        assert [r.run_id for r in serial.runs] == \
+            [r.run_id for r in parallel.runs]
+        assert [r.digest for r in serial.runs] == \
+            [r.digest for r in parallel.runs]
 
 
 def test_recompile_is_deterministic():
@@ -56,3 +74,14 @@ def test_scale_reports_modeled_population():
     assert scale["servers_total"] == 8.0
     assert scale["modeled_users"] > 0
     assert scale["modeled_requests_per_day"] > 0
+
+
+class TestDeriveSeed:
+    def test_deterministic(self):
+        assert derive_seed(7, 1, 2, 3) == derive_seed(7, 1, 2, 3)
+
+    def test_distinct_streams(self):
+        seeds = {derive_seed(7, cell, server, stream)
+                 for cell in range(4) for server in range(4)
+                 for stream in range(2)}
+        assert len(seeds) == 32

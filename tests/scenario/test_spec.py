@@ -10,6 +10,7 @@ from repro.scenario import (
     OverlaySpec,
     RedundancySpec,
     RegionSpec,
+    RemoteMemorySpec,
     RequestDagSpec,
     Scenario,
     ScenarioBuilder,
@@ -149,8 +150,24 @@ class TestCrossValidation:
         assert any("regions" in path for path in _issues(scenario))
 
     def test_sharded_engine_needs_enclosure_tiers(self):
-        scenario = _valid_scenario(engine="sharded")
-        assert any("engine" in path for path in _issues(scenario))
+        # Enclosure scope is a compiler expansion, not an engine, so
+        # "sharded" is rejected like any unknown engine.
+        issues = _issues(_valid_scenario(engine="sharded"))
+        assert issues == {
+            "engine": "must be one of auto/cohort/scalar, got 'sharded'"}
+
+    def test_cells_must_divide_enclosures(self):
+        scenario = _valid_scenario(topology=TopologySpec(tiers=(TierSpec(
+            name="web", design="N1", servers=6, enclosure_size=2,
+            balancer_scope="enclosure", cells=2),)))
+        assert "topology.tiers[0].cells" in _issues(scenario)
+
+    def test_enclosure_scope_rejects_shared_blade(self):
+        scenario = _valid_scenario(topology=TopologySpec(tiers=(TierSpec(
+            name="web", design="N1", servers=4, enclosure_size=2,
+            balancer_scope="enclosure",
+            remote_memory=RemoteMemorySpec()),)))
+        assert "topology.tiers[0].remote_memory" in _issues(scenario)
 
     def test_flash_crowd_hour_bounds(self):
         scenario = _valid_scenario(traffic=TrafficSpec(

@@ -205,67 +205,3 @@ class TestScheduleBatch:
         batched.run()
         looped.run()
         assert got_a == got_b == sorted(delays)
-
-
-class TestCohortSimulation:
-    def test_same_time_same_kind_events_merge_into_one_dispatch(self):
-        from repro.simulator.engine import CohortSimulation
-
-        sim = CohortSimulation()
-        calls = []
-        sim.set_cohort_handler(lambda kind, payloads: calls.append((kind, list(payloads))))
-        for payload in ("a", "b", "c"):
-            sim.schedule_cohort(5.0, "arrivals", payload)
-        sim.schedule_cohort(5.0, "completions", "z")
-        sim.run()
-        assert calls == [("arrivals", ["a", "b", "c"]), ("completions", ["z"])]
-
-    def test_different_times_stay_separate(self):
-        from repro.simulator.engine import CohortSimulation
-
-        sim = CohortSimulation()
-        calls = []
-        sim.set_cohort_handler(lambda kind, payloads: calls.append((sim.now, kind, len(payloads))))
-        sim.schedule_cohort(1.0, "tick", None)
-        sim.schedule_cohort(2.0, "tick", None)
-        sim.schedule_cohort(2.0, "tick", None)
-        sim.run()
-        assert calls == [(1.0, "tick", 1), (2.0, "tick", 2)]
-
-    def test_handler_may_schedule_followup_cohorts(self):
-        from repro.simulator.engine import CohortSimulation
-
-        sim = CohortSimulation()
-        seen = []
-
-        def handle(kind, payloads):
-            seen.append((kind, len(payloads)))
-            if kind == "arrivals":
-                sim.schedule_cohort(0.0, "completions", sum(payloads))
-
-        sim.set_cohort_handler(handle)
-        sim.schedule_cohort(1.0, "arrivals", 2)
-        sim.schedule_cohort(1.0, "arrivals", 3)
-        sim.run()
-        assert seen == [("arrivals", 2), ("completions", 1)]
-
-    def test_cancel_removes_cohort_entry(self):
-        from repro.simulator.engine import CohortSimulation
-
-        sim = CohortSimulation()
-        calls = []
-        sim.set_cohort_handler(lambda kind, payloads: calls.append(kind))
-        keep = sim.schedule_cohort(1.0, "keep", None)
-        drop = sim.schedule_cohort(1.0, "drop", None)
-        assert keep != drop
-        sim.cancel(drop)
-        sim.run()
-        assert calls == ["keep"]
-
-    def test_requires_handler(self):
-        from repro.simulator.engine import CohortSimulation
-
-        sim = CohortSimulation()
-        sim.schedule_cohort(1.0, "tick", None)
-        with pytest.raises(RuntimeError, match="handler"):
-            sim.run()
