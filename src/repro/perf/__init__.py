@@ -34,15 +34,10 @@ from repro.perf.parallel import (
     intra_jobs,
     merge_telemetry,
     pmap,
-    pmap_iter,
     run_experiments,
     set_intra_jobs,
 )
-from repro.perf.variates import (
-    ExponentialBlock,
-    exponential_fill,
-    exponential_sampler,
-)
+from repro.perf.variates import exponential_sampler
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -54,11 +49,8 @@ __all__ = [
     "intra_jobs",
     "merge_telemetry",
     "pmap",
-    "pmap_iter",
     "run_experiments",
     "set_intra_jobs",
-    "ExponentialBlock",
-    "exponential_fill",
     "exponential_sampler",
     "FlashCounts",
     "FlashHitCurve",

@@ -55,15 +55,14 @@ hard test invariant (``tests/cluster/test_cohort_engine.py``).
 
 Two deliberate deviations from a naive "vectorize everything" plan, both
 forced by the stream-identity contract: inter-arrival variates cannot be
-bulk-drawn (e.g. with :func:`repro.perf.variates.exponential_fill`)
-because the arrival draws *interleave* with workload/admission draws on
-the shared generator, so arrivals use the inlined :func:`~repro.perf.variates
-.exponential_sampler` form instead -- same values, same stream, one
-C-level ``random()`` per draw.  Likewise the CPU and memory stations
-stay event-driven: the CPU gate (deadline shedding, admission EWMA)
-makes grant decisions that feed back into the shared stream, and a
-multi-channel memory station's completion order can overtake its entry
-order, so neither is a Lindley recurrence.
+bulk-drawn ahead of use because the arrival draws *interleave* with
+workload/admission draws on the shared generator, so arrivals use the
+inlined :func:`~repro.perf.variates.exponential_sampler` form instead --
+same values, same stream, one C-level ``random()`` per draw.  Likewise
+the CPU and memory stations stay event-driven: the CPU gate (deadline
+shedding, admission EWMA) makes grant decisions that feed back into
+the shared stream, and a multi-channel memory station's completion
+order can overtake its entry order, so neither is a Lindley recurrence.
 
 Latency recording is batched: detector histograms buffer per-server
 attempt latencies and flush through

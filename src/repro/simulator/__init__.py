@@ -6,9 +6,11 @@ Perl client driver:
 - :mod:`~repro.simulator.engine` -- event-driven simulation core.
 - :mod:`~repro.simulator.resources` -- multi-server FCFS resources
   (CPU cores, memory channels, disk, NIC).
-- :mod:`~repro.simulator.server_sim` -- a closed-loop server simulation:
-  N clients with think time issuing workload requests against platform
-  resources, measuring throughput and tail latency.
+- :mod:`~repro.simulator.server_sim` -- the single-server simulation:
+  workload requests against platform resources, driven either by N
+  clients with think time (closed loop) or by Poisson arrivals at a
+  fixed rate with an optional queue cap (open loop), measuring
+  throughput, tail latency and drops.
 - :mod:`~repro.simulator.sweep` -- the adaptive client driver: finds the
   highest throughput that still meets the workload's QoS.
 - :mod:`~repro.simulator.analytic` -- approximate mean-value analysis of
@@ -21,7 +23,6 @@ Perl client driver:
 from repro.simulator.engine import Simulation
 from repro.simulator.resources import Resource
 from repro.simulator.server_sim import ServerSimulator, SimConfig, SimResult
-from repro.simulator.openloop import OpenLoopSimulator
 from repro.simulator.telemetry import (
     AvailabilityTracker,
     EntityAvailability,
@@ -47,7 +48,6 @@ __all__ = [
     "ServerSimulator",
     "SimConfig",
     "SimResult",
-    "OpenLoopSimulator",
     "AvailabilityTracker",
     "EntityAvailability",
     "LatencyHistogram",

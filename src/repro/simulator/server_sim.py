@@ -1,9 +1,29 @@
-"""Closed-loop server simulation.
+"""Single-server simulation, closed loop or open loop.
 
-``population`` clients each loop: think (exponential), issue one request,
-wait for its response, repeat.  A request visits the server's resources in
-order -- CPU cores, memory channels, disk, NIC -- with service times
-derived from the request's platform-independent demand through the
+One server model with two arrival processes:
+
+- *Closed loop* (the default, the paper's client driver of section 2.1):
+  ``population`` clients each loop: think (exponential), issue one
+  request, wait for its response, repeat.  This answers "what is the
+  peak?" (:mod:`repro.simulator.sweep`).
+- *Open loop* (``arrival_rate_rps``): requests arrive in a Poisson
+  stream regardless of completions, the regime of a production service
+  below saturation.  This answers "what is the latency at a given
+  load?" and, with deterministic single-station workloads, validates the
+  DES against the M/D/1, M/M/1 and M/M/1/K closed forms
+  (``tests/simulator/test_openloop.py``, ``test_queueing.py``).  With
+  ``queue_cap`` the server holds at most that many requests (in service
+  plus waiting); excess arrivals are dropped and counted in
+  ``SimResult.dropped_requests``/``drop_rate``.  Without a cap, a load
+  beyond capacity grows the queue without bound and the run fails
+  loudly; with a cap the run always completes, so a ``RuntimeWarning``
+  is emitted instead when more than half the measured arrivals were
+  dropped (the latency figures then describe only the admitted
+  minority).
+
+A request visits the server's resources in order -- CPU cores, memory
+channels, disk, NIC -- with service times derived from the request's
+platform-independent demand through the
 :class:`~repro.platforms.platform.Platform` model.
 
 Measurement uses a completion-count protocol: the first
@@ -16,6 +36,7 @@ requests completing inside the window feed the QoS tracker.
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Protocol
 
@@ -96,49 +117,13 @@ class SimResult:
         )
 
 
-def mean_service_demand_ms(
-    platform: Platform,
-    workload: Workload,
-    samples: int = 2000,
-    seed: int = 1,
-    disk_model: Optional[DiskModel] = None,
-    memory_slowdown: float = 1.0,
-) -> float:
-    """Mean uncontended single-request service time, in ms.
-
-    Monte-Carlo estimate over ``samples`` workload draws of the same
-    cpu+mem+disk+net composition :class:`ServerSimulator` charges each
-    request -- i.e. the service rate ``mu`` the queueing closed forms
-    (:mod:`repro.simulator.queueing`) need, derived from the *same*
-    demand distributions the DES runs, not re-modeled.
-    Uses a dedicated RNG, so it never perturbs a simulation stream.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    model = disk_model or PlatformDiskModel(platform)
-    profile = workload.profile
-    total = 0.0
-    for _ in range(samples):
-        demand = workload.sample(rng).demand
-        cpu_ms = (
-            platform.cpu_time_ms(
-                demand.cpu_ms_ref,
-                profile.cache_sensitivity,
-                profile.inorder_ipc_factor,
-                profile.stall_fraction,
-            )
-            * memory_slowdown
-        )
-        mem_ms = platform.memory_channel_time_ms(demand.mem_ms_ref)
-        disk_ms = model.service_ms(demand, rng)
-        net_ms = platform.net_time_ms(demand.net_bytes)
-        total += cpu_ms + mem_ms + disk_ms + net_ms
-    return total / samples
-
-
 class ServerSimulator:
-    """Simulates one server of ``platform`` running ``workload``."""
+    """Simulates one server of ``platform`` running ``workload``.
+
+    Closed loop by default.  ``arrival_rate_rps`` replaces the client
+    population with Poisson arrivals at that rate, optionally into a
+    loss system holding at most ``queue_cap`` requests.
+    """
 
     def __init__(
         self,
@@ -150,19 +135,42 @@ class ServerSimulator:
         memory_slowdown: float = 1.0,
         tracer=None,
         metrics=None,
+        *,
+        arrival_rate_rps: Optional[float] = None,
+        queue_cap: Optional[int] = None,
     ):
         if population is not None and population <= 0:
             raise ValueError("population must be positive")
         if memory_slowdown < 1.0:
             raise ValueError("memory_slowdown is a multiplier >= 1.0")
+        if arrival_rate_rps is not None:
+            if population is not None:
+                raise ValueError(
+                    "population (closed loop) and arrival_rate_rps "
+                    "(open loop) are exclusive"
+                )
+            if arrival_rate_rps <= 0:
+                raise ValueError("arrival rate must be positive")
+        elif queue_cap is not None:
+            raise ValueError("queue_cap needs an open-loop arrival_rate_rps")
+        if queue_cap is not None and queue_cap < 1:
+            raise ValueError("queue_cap must be positive (or None)")
         self._platform = platform
         self._workload = workload
         self._profile = workload.profile
-        self._population = (
-            population
-            if population is not None
-            else self._profile.population.population(platform.cpu.total_cores)
+        #: Poisson arrivals per ms in open loop, ``None`` in closed loop.
+        self._rate_per_ms = (
+            None if arrival_rate_rps is None else arrival_rate_rps / 1000.0
         )
+        self._queue_cap = queue_cap
+        if arrival_rate_rps is not None:
+            self._population = 0
+        elif population is not None:
+            self._population = population
+        else:
+            self._population = self._profile.population.population(
+                platform.cpu.total_cores
+            )
         self._config = config
         self._disk_model = disk_model or PlatformDiskModel(platform)
         #: Uniform CPU-time multiplier modelling remote-memory paging
@@ -178,19 +186,24 @@ class ServerSimulator:
 
     @property
     def population(self) -> int:
+        """Closed-loop client count (0 for an open-loop run)."""
         return self._population
 
     def run(self) -> SimResult:
-        """Execute the closed-loop simulation and return measurements."""
+        """Execute the simulation and return measurements."""
         sim = Simulation()
         rng = random.Random(self._config.seed)
         # Stream-identical fast path for rng.expovariate (same values,
-        # same generator state, no per-draw method dispatch).
+        # same generator state, no per-draw method dispatch).  Think
+        # times, arrivals and workload samples share this generator, so
+        # the order of the draws is part of every result.
         sample_exp = exponential_sampler(rng)
         platform = self._platform
         profile = self._profile
         tracer = self._tracer
         metrics = self._metrics
+        rate_per_ms = self._rate_per_ms
+        queue_cap = self._queue_cap
         # Request sequence number: the tracer's sampling key.  Only
         # maintained when tracing -- the untraced path is untouched.
         rid = [0]
@@ -203,6 +216,10 @@ class ServerSimulator:
         warmup = self._config.warmup_requests
         measure = self._config.measure_requests
         state = _MeasureState(warmup=warmup, target=measure)
+        #: Open-loop in-flight bound: queues past this mean the offered
+        #: load exceeds capacity and latencies are meaningless -- fail
+        #: loudly instead.
+        overload_threshold = max(2000, (warmup + measure) // 4)
         qos = QosTracker(profile.qos) if profile.qos else None
         responses: list = []
         busy_at_start: Dict[str, float] = {r.name: 0.0 for r in (cpu, mem, disk, nic)}
@@ -216,6 +233,33 @@ class ServerSimulator:
                 else 0.0
             )
             sim.schedule(think, issue_request)
+
+        def arrive() -> None:
+            # Open loop.  The step order fixes the draw order on the
+            # shared generator: count the arrival, apply the cap or
+            # overload check, draw the next arrival, sample the request.
+            if state.done:
+                return
+            state.arrivals += 1
+            measuring = state.completions >= warmup
+            if measuring:
+                state.window_arrivals += 1
+            # Admitted requests still in the system, this one excluded.
+            in_flight = state.arrivals - state.completions - state.dropped - 1
+            if queue_cap is not None and in_flight >= queue_cap:
+                # Finite system: the arrival is rejected, not queued.
+                state.dropped += 1
+                if measuring:
+                    state.window_dropped += 1
+                sim.schedule(sample_exp(rate_per_ms), arrive)
+                return
+            if in_flight >= overload_threshold:
+                state.overloaded = True
+                state.done = True
+                sim.stop()
+                return
+            sim.schedule(sample_exp(rate_per_ms), arrive)
+            issue_request()
 
         def issue_request() -> None:
             if state.done:
@@ -341,13 +385,23 @@ class ServerSimulator:
                     state.window_end = sim.now
                     sim.stop()
                     return
-            client_loop()
+            if rate_per_ms is None:
+                client_loop()
 
-        for _ in range(self._population):
-            client_loop()
+        if rate_per_ms is None:
+            for _ in range(self._population):
+                client_loop()
+        else:
+            sim.schedule(sample_exp(rate_per_ms), arrive)
         sim.run()
 
-        if not state.done:
+        if state.overloaded or not state.done:
+            if rate_per_ms is not None:
+                raise RuntimeError(
+                    "the server cannot sustain the offered load of "
+                    f"{rate_per_ms * 1000:.1f} req/s "
+                    "(in-flight requests grew without bound)"
+                )
             raise RuntimeError(
                 "simulation drained its event queue before the measurement "
                 "window completed; increase population or request counts"
@@ -361,34 +415,43 @@ class ServerSimulator:
         mean_response = sum(responses) / len(responses)
         percentile = qos.percentile_ms() if qos and qos.count else mean_response
         qos_met = qos.satisfied() if qos else True
+        utilization = {
+            r.name: min(
+                1.0,
+                (r.stats.busy_time_ms - busy_at_start[r.name]) / (r.servers * window),
+            )
+            for r in (cpu, mem, disk, nic)
+        }
+        drop_rate = (
+            state.window_dropped / state.window_arrivals
+            if state.window_arrivals
+            else 0.0
+        )
 
         if metrics is not None:
             metrics.gauge("server.throughput_rps").set(throughput)
-            for resource in (cpu, mem, disk, nic):
-                utilization = min(
-                    1.0,
-                    (resource.stats.busy_time_ms - busy_at_start[resource.name])
-                    / (resource.servers * window),
-                )
-                metrics.gauge(
-                    "server.utilization", resource=resource.name
-                ).set(utilization)
+            for name, value in utilization.items():
+                metrics.gauge("server.utilization", resource=name).set(value)
+        if drop_rate > 0.5:
+            warnings.warn(
+                f"offered load of {rate_per_ms * 1000:.1f} req/s is "
+                f"unsustainable: the queue cap of {queue_cap} dropped "
+                f"{drop_rate:.0%} of arrivals; latency figures describe only "
+                "the admitted requests",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
         return SimResult(
             throughput_rps=throughput,
             mean_response_ms=mean_response,
             qos_percentile_ms=percentile,
             qos_met=qos_met,
-            utilization={
-                r.name: min(
-                    1.0,
-                    (r.stats.busy_time_ms - busy_at_start[r.name])
-                    / (r.servers * window),
-                )
-                for r in (cpu, mem, disk, nic)
-            },
+            utilization=utilization,
             population=self._population,
             measured_requests=len(responses),
+            dropped_requests=state.window_dropped,
+            drop_rate=drop_rate,
         )
 
 
@@ -396,7 +459,8 @@ class _MeasureState:
     """Mutable counters shared by the simulation callbacks (slotted)."""
 
     __slots__ = ("warmup", "target", "completions", "window_start",
-                 "window_end", "done")
+                 "window_end", "done", "arrivals", "dropped",
+                 "window_arrivals", "window_dropped", "overloaded")
 
     def __init__(self, warmup: int, target: int):
         self.warmup = warmup
@@ -405,3 +469,9 @@ class _MeasureState:
         self.window_start = 0.0
         self.window_end = 0.0
         self.done = False
+        # Open-loop arrival accounting (unused in closed loop).
+        self.arrivals = 0
+        self.dropped = 0
+        self.window_arrivals = 0
+        self.window_dropped = 0
+        self.overloaded = False

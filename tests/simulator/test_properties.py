@@ -1,5 +1,8 @@
 """Property-based tests on simulator invariants."""
 
+import functools
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,3 +108,80 @@ class TestAnalyticConsistency:
         saturation = model.saturation_rps()
         for population in (1, 8, 64, 256):
             assert model.throughput_rps(population) <= saturation * 1.001
+
+
+#: Calibrating a workload costs more than a tiny-window run.
+_workload = functools.cache(make_workload)
+
+
+_LIFECYCLE_PLATFORMS = ("srvr1", "desk", "emb1")
+
+
+class TestServerSimLifecycle:
+    """Lifecycle invariants of both arrival modes, on tiny windows."""
+
+    def _check(self, simulator, config, capped):
+        result = simulator().run()
+        assert result.measured_requests == config.measure_requests
+        for name, utilization in result.utilization.items():
+            assert 0.0 <= utilization <= 1.0, name
+        assert 0.0 <= result.drop_rate <= 1.0
+        if not capped:
+            assert result.dropped_requests == 0
+            assert result.drop_rate == 0.0
+        # Same seed, same everything.
+        assert simulator().run() == result
+        return result
+
+    @given(
+        system=st.sampled_from(_LIFECYCLE_PLATFORMS),
+        bench=st.sampled_from(benchmark_names()),
+        population=st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+        warmup=st.integers(min_value=0, max_value=40),
+        measure=st.integers(min_value=1, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_closed_loop(self, system, bench, population, warmup, measure, seed):
+        plat, workload = platform(system), _workload(bench)
+        config = SimConfig(warmup_requests=warmup, measure_requests=measure,
+                           seed=seed)
+        result = self._check(
+            lambda: ServerSimulator(plat, workload, population=population,
+                                    config=config),
+            config, capped=False,
+        )
+        assert result.population > 0
+        if population is not None:
+            assert result.population == population
+
+    @given(
+        system=st.sampled_from(_LIFECYCLE_PLATFORMS),
+        bench=st.sampled_from(benchmark_names()),
+        load=st.floats(min_value=0.05, max_value=3.0),
+        queue_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+        warmup=st.integers(min_value=0, max_value=40),
+        measure=st.integers(min_value=1, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_open_loop(self, system, bench, load, queue_cap, warmup, measure,
+                       seed):
+        plat, workload = platform(system), _workload(bench)
+        if queue_cap is None:
+            # Uncapped loads stay below saturation: beyond it the run
+            # is meant to fail loudly, not to report.
+            load = min(load, 0.8)
+        rate = load * AnalyticServerModel(plat, workload).saturation_rps()
+        config = SimConfig(warmup_requests=warmup, measure_requests=measure,
+                           seed=seed)
+        with warnings.catch_warnings():
+            # Capped overloads warn that most arrivals were dropped.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = self._check(
+                lambda: ServerSimulator(plat, workload, config=config,
+                                        arrival_rate_rps=rate,
+                                        queue_cap=queue_cap),
+                config, capped=queue_cap is not None,
+            )
+        assert result.population == 0

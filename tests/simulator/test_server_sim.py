@@ -91,6 +91,14 @@ class TestServerSimulator:
         with pytest.raises(ValueError):
             SimConfig(measure_requests=0)
 
+    def test_arrival_modes_are_exclusive(self, srvr1):
+        workload = make_workload("webmail")
+        with pytest.raises(ValueError, match="exclusive"):
+            ServerSimulator(srvr1, workload, population=8, arrival_rate_rps=5.0)
+        with pytest.raises(ValueError, match="queue_cap"):
+            ServerSimulator(srvr1, workload, queue_cap=4)
+        assert ServerSimulator(srvr1, workload, arrival_rate_rps=5.0).population == 0
+
     def test_describe_mentions_qos_violation(self, emb1, config):
         result = ServerSimulator(emb1, make_workload("websearch"),
                                  population=256, config=config).run()
